@@ -439,8 +439,15 @@ fn cmd_loadgen(args: &Args) -> Result<String, String> {
     for key in args.options.keys() {
         if !matches!(
             key.as_str(),
-            "addr" | "requests" | "concurrency" | "batch" | "rate" | "shutdown" | "out"
-                | "threads" | "telemetry"
+            "addr"
+                | "requests"
+                | "concurrency"
+                | "batch"
+                | "rate"
+                | "shutdown"
+                | "out"
+                | "threads"
+                | "telemetry"
         ) {
             return Err(format!("loadgen: unknown option --{key}\n{HELP}"));
         }

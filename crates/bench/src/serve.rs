@@ -85,7 +85,11 @@ fn positive_f64(v: Option<f64>, default: f64, name: &str) -> Result<f64, ApiErro
 
 impl Resolved {
     fn new(kernel: KernelId, machine: Machine, q: &Query) -> Result<Resolved, ApiError> {
-        let dense_n = if matches!(kernel, KernelId::Fft) { 400 } else { 8192 };
+        let dense_n = if matches!(kernel, KernelId::Fft) {
+            400
+        } else {
+            8192
+        };
         Ok(Resolved {
             n: positive_usize(q.n, dense_n, "n")?,
             tile: positive_usize(q.tile, 384, "tile")?,
@@ -150,9 +154,7 @@ fn build_profile(kernel: KernelId, p: &Resolved, cores: usize) -> AccessProfile 
         KernelId::Cholesky => opm_dense::cholesky_profile(p.n, p.tile, p.threads, cores),
         KernelId::Spmv => opm_sparse::spmv_profile(p.rows, p.nnz, p.span, p.threads),
         KernelId::Sptrans => opm_sparse::sptrans_profile(p.rows, p.nnz, p.threads),
-        KernelId::Sptrsv => {
-            opm_sparse::sptrsv_profile(p.rows, p.nnz, p.span, p.levels, p.threads)
-        }
+        KernelId::Sptrsv => opm_sparse::sptrsv_profile(p.rows, p.nnz, p.span, p.levels, p.threads),
         KernelId::Fft => opm_fft::fft3d_profile(p.n, p.threads, cores),
         KernelId::Stencil => {
             opm_stencil::stencil_profile(p.grid, p.grid, p.grid, (64, 64, 96), p.threads, cores)
@@ -271,9 +273,8 @@ pub fn respond(engine: &Engine, req: &Request) -> Response {
         .queries
         .iter()
         .map(|q| {
-            let answer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                answer_query(engine, q)
-            }));
+            let answer =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| answer_query(engine, q)));
             match answer {
                 Ok(Ok(a)) => QueryResult::Ok(Box::new(a)),
                 Ok(Err(e)) => QueryResult::Err(e),
@@ -304,7 +305,9 @@ fn shed(req: &Request) -> Response {
     let n = req.queries.len().max(1);
     Response {
         id: req.id,
-        results: (0..n).map(|_| QueryResult::Err(ApiError::Overloaded)).collect(),
+        results: (0..n)
+            .map(|_| QueryResult::Err(ApiError::Overloaded))
+            .collect(),
     }
 }
 
@@ -448,7 +451,9 @@ fn serve_connection(mut stream: TcpStream, shared: &ServerShared, addr: SocketAd
             }
             Ok(req) => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
-                shared.queries.fetch_add(req.queries.len() as u64, Ordering::Relaxed);
+                shared
+                    .queries
+                    .fetch_add(req.queries.len() as u64, Ordering::Relaxed);
                 tele.counter("serve_requests_total").inc();
                 tele.counter("serve_queries_total")
                     .add(req.queries.len() as u64);
@@ -493,12 +498,10 @@ fn admit(shared: &ServerShared) -> Option<Permit<'_>> {
         if cur >= shared.max_inflight {
             return None;
         }
-        match shared.inflight.compare_exchange(
-            cur,
-            cur + 1,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        ) {
+        match shared
+            .inflight
+            .compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
+        {
             Ok(_) => return Some(Permit(&shared.inflight)),
             Err(now) => cur = now,
         }
@@ -602,10 +605,16 @@ mod tests {
         ));
         let mut q = gemm_query();
         q.n = Some(0);
-        assert!(matches!(answer_query(&engine, &q), Err(ApiError::BadParam(_))));
+        assert!(matches!(
+            answer_query(&engine, &q),
+            Err(ApiError::BadParam(_))
+        ));
         let mut q = gemm_query();
         q.hot_mb = Some(-3.0);
-        assert!(matches!(answer_query(&engine, &q), Err(ApiError::BadParam(_))));
+        assert!(matches!(
+            answer_query(&engine, &q),
+            Err(ApiError::BadParam(_))
+        ));
     }
 
     #[test]

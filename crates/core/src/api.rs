@@ -174,7 +174,7 @@ impl Json {
         let bytes = text.as_bytes();
         let mut pos = 0;
         skip_ws(bytes, &mut pos);
-        let v = parse_value(bytes, &mut pos, 0)?;
+        let v = parse_value(text, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -185,7 +185,13 @@ impl Json {
     /// Render canonically (no whitespace, insertion field order,
     /// shortest-round-trip numbers).
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        self.render_sized(0)
+    }
+
+    /// [`render`](Self::render) into a buffer pre-sized for `capacity`
+    /// bytes, so a document of about that size never regrows it.
+    fn render_sized(&self, capacity: usize) -> String {
+        let mut out = String::with_capacity(capacity);
         self.render_into(&mut out);
         out
     }
@@ -194,7 +200,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => out.push_str(&render_num(*v)),
+            Json::Num(v) => render_num(*v, out),
             Json::Str(s) => render_string(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -242,7 +248,10 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(v)
-                if v.is_finite() && *v >= 0.0 && v.fract() == 0.0 && *v <= 9_007_199_254_740_992.0 =>
+                if v.is_finite()
+                    && *v >= 0.0
+                    && v.fract() == 0.0
+                    && *v <= 9_007_199_254_740_992.0 =>
             {
                 Some(*v as u64)
             }
@@ -275,37 +284,55 @@ impl Json {
     }
 }
 
-/// Canonical number rendering: integral doubles in the exact range print
-/// without a fraction (`3` not `3.0`); everything else uses Rust's
-/// shortest-round-trip `Display`. Non-finite values (which valid
-/// [`Advice`] never produces) degrade to `null` rather than emit invalid
-/// JSON.
-fn render_num(v: f64) -> String {
+/// Canonical number rendering, appended to `out`: integral doubles in the
+/// exact range print without a fraction (`3` not `3.0`); everything else
+/// uses Rust's shortest-round-trip `Display`. Non-finite values (which
+/// valid [`Advice`] never produces) degrade to `null` rather than emit
+/// invalid JSON.
+fn render_num(v: f64, out: &mut String) {
+    use fmt::Write;
+    // Writing into a `String` cannot fail.
     if !v.is_finite() {
-        return "null".to_string();
-    }
-    if v.fract() == 0.0 && v.abs() <= 9_007_199_254_740_992.0 {
-        format!("{}", v as i64)
+        out.push_str("null");
+    } else if v.fract() == 0.0 && v.abs() <= 9_007_199_254_740_992.0 {
+        let _ = write!(out, "{}", v as i64);
     } else {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     }
 }
 
+/// The bytes a JSON string cannot carry raw: `"`, `\` and the C0
+/// controls. All are ASCII, so they never occur inside a multi-byte
+/// UTF-8 sequence and the runs between them are whole `str` slices.
+fn needs_escape(c: u8) -> bool {
+    c < 0x20 || c == b'"' || c == b'\\'
+}
+
+/// Render `s` as a JSON string literal. Runs of bytes with nothing to
+/// escape are copied with one `push_str` each; a string with nothing to
+/// escape is a single copy.
 fn render_string(s: &str, out: &mut String) {
+    use fmt::Write;
     out.push('"');
-    for c in s.chars() {
+    let mut run = 0;
+    for (i, &c) in s.as_bytes().iter().enumerate() {
+        if !needs_escape(c) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{c:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -315,16 +342,17 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     if depth > MAX_JSON_DEPTH {
         return Err("nesting too deep".to_string());
     }
+    let b = s.as_bytes();
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'"') => parse_string(s, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -335,7 +363,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
             }
             loop {
                 skip_ws(b, pos);
-                items.push(parse_value(b, pos, depth + 1)?);
+                items.push(parse_value(s, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -360,14 +388,14 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
                 if b.get(*pos) != Some(&b'"') {
                     return Err(format!("expected object key at byte {pos}"));
                 }
-                let key = parse_string(b, pos)?;
+                let key = parse_string(s, pos)?;
                 skip_ws(b, pos);
                 if b.get(*pos) != Some(&b':') {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
                 skip_ws(b, pos);
-                let value = parse_value(b, pos, depth + 1)?;
+                let value = parse_value(s, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -380,7 +408,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
                 }
             }
         }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
+        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(s, pos),
         Some(c) => Err(format!("unexpected byte {c:#04x} at {pos}")),
     }
 }
@@ -394,17 +422,17 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, 
     }
 }
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(s: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     let start = *pos;
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number".to_string())?;
+    // Only ASCII was consumed, so both ends are char boundaries.
+    let text = &s[start..*pos];
     let v: f64 = text
         .parse()
         .map_err(|_| format!("invalid number {text:?} at byte {start}"))?;
@@ -414,11 +442,24 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     Ok(Json::Num(v))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Decode the string literal whose opening `"` is at `s[*pos]`.
+///
+/// Linear in the literal's length: each maximal run of bytes with
+/// nothing to decode (see [`needs_escape`]) is appended with one
+/// `push_str`, sliced from the already-validated `s`, and only the
+/// delimiter ending the run is looked at individually.
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     debug_assert_eq!(b.get(*pos), Some(&b'"'));
     *pos += 1;
     let mut out = String::new();
     loop {
+        let run = *pos;
+        *pos += b[run..]
+            .iter()
+            .position(|&c| needs_escape(c))
+            .unwrap_or(b.len() - run);
+        out.push_str(&s[run..*pos]);
         match b.get(*pos) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
@@ -426,69 +467,54 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 return Ok(out);
             }
             Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape".to_string())?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape".to_string())?;
-                        let cp =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_string())?;
-                        *pos += 4;
-                        // Surrogate pair handling: a high surrogate must
-                        // be followed by \uDCxx; lone surrogates are
-                        // replaced (never a panic).
-                        if (0xd800..0xdc00).contains(&cp) {
-                            if b.get(*pos + 1..*pos + 3) == Some(b"\\u") {
-                                if let Some(lo_hex) = b.get(*pos + 3..*pos + 7) {
-                                    if let Ok(lo_hex) = std::str::from_utf8(lo_hex) {
-                                        if let Ok(lo) = u32::from_str_radix(lo_hex, 16) {
-                                            if (0xdc00..0xe000).contains(&lo) {
-                                                let c = 0x10000
-                                                    + ((cp - 0xd800) << 10)
-                                                    + (lo - 0xdc00);
-                                                out.push(
-                                                    char::from_u32(c).unwrap_or('\u{fffd}'),
-                                                );
-                                                *pos += 7;
-                                                continue;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            out.push('\u{fffd}');
-                        } else {
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                        }
-                    }
+                let (c, len) = match b.get(*pos + 1) {
+                    Some(b'"') => ('"', 2),
+                    Some(b'\\') => ('\\', 2),
+                    Some(b'/') => ('/', 2),
+                    Some(b'n') => ('\n', 2),
+                    Some(b'r') => ('\r', 2),
+                    Some(b't') => ('\t', 2),
+                    Some(b'b') => ('\u{0008}', 2),
+                    Some(b'f') => ('\u{000c}', 2),
+                    Some(b'u') => parse_unicode_escape(b, *pos)?,
                     _ => return Err("invalid escape".to_string()),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 character (input is a &str, so
-                // boundaries are valid by construction).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "bad utf-8".to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string".to_string())?;
-                if (c as u32) < 0x20 {
-                    return Err("raw control character in string".to_string());
-                }
+                };
                 out.push(c);
-                *pos += c.len_utf8();
+                *pos += len;
             }
+            Some(_) => return Err("raw control character in string".to_string()),
         }
     }
+}
+
+/// Decode the `\uXXXX` escape starting at `b[at]` into its char and its
+/// length in bytes. A high surrogate directly followed by a `\uXXXX` low
+/// surrogate decodes as one pair (12 bytes); a lone surrogate becomes
+/// U+FFFD (never a panic).
+fn parse_unicode_escape(b: &[u8], at: usize) -> Result<(char, usize), String> {
+    let hi = b
+        .get(at + 2..at + 6)
+        .ok_or_else(|| "truncated \\u escape".to_string())?;
+    let hi = hex4(hi).ok_or_else(|| "bad \\u escape".to_string())?;
+    if (0xd800..0xdc00).contains(&hi) {
+        if b.get(at + 6..at + 8) == Some(b"\\u") {
+            if let Some(lo) = b.get(at + 8..at + 12).and_then(hex4) {
+                if (0xdc00..0xe000).contains(&lo) {
+                    let c = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+                    return Ok((char::from_u32(c).unwrap_or('\u{fffd}'), 12));
+                }
+            }
+        }
+        return Ok(('\u{fffd}', 6));
+    }
+    Ok((char::from_u32(hi).unwrap_or('\u{fffd}'), 6))
+}
+
+/// The value of four hex digits (no sign, no prefix).
+fn hex4(digits: &[u8]) -> Option<u32> {
+    digits
+        .iter()
+        .try_fold(0, |acc, &d| Some((acc << 4) | (d as char).to_digit(16)?))
 }
 
 // ---------------------------------------------------------------------
@@ -649,7 +675,8 @@ impl Request {
             "queries".into(),
             Json::Arr(self.queries.iter().map(Query::to_json).collect()),
         ));
-        Json::Obj(f).render()
+        // A query renders to 40-120 bytes.
+        Json::Obj(f).render_sized(64 + 128 * self.queries.len())
     }
 
     /// Strict decode (version checked; unknown fields ignored per the
@@ -685,7 +712,9 @@ impl Request {
 fn check_version(j: &Json) -> Result<(), String> {
     match j.get("v").and_then(Json::as_str) {
         Some(v) if v == VERSION => Ok(()),
-        Some(v) => Err(format!("unsupported protocol version {v:?} (this is {VERSION})")),
+        Some(v) => Err(format!(
+            "unsupported protocol version {v:?} (this is {VERSION})"
+        )),
         None => Err(format!("missing \"v\" (expected {VERSION:?})")),
     }
 }
@@ -950,7 +979,8 @@ impl Response {
             ("id".into(), Json::Num(self.id as f64)),
             ("results".into(), Json::Arr(results)),
         ])
-        .render()
+        // An answered query renders to 0.6-1 KB.
+        .render_sized(64 + 1024 * self.results.len())
     }
 
     /// Strict decode (version checked; unknown fields ignored).
@@ -990,6 +1020,201 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::time::{Duration, Instant};
+
+    fn num(v: f64) -> String {
+        let mut out = String::new();
+        render_num(v, &mut out);
+        out
+    }
+
+    fn string(s: &str) -> String {
+        let mut out = String::new();
+        render_string(s, &mut out);
+        out
+    }
+
+    /// The original number renderer (one `format!` per number), kept as
+    /// the byte-identity oracle for [`render_num`].
+    fn oracle_num(v: f64) -> String {
+        if !v.is_finite() {
+            return "null".to_string();
+        }
+        if v.fract() == 0.0 && v.abs() <= 9_007_199_254_740_992.0 {
+            format!("{}", v as i64)
+        } else {
+            format!("{v}")
+        }
+    }
+
+    /// The original per-character string renderer, kept as the
+    /// byte-identity oracle for [`render_string`].
+    fn oracle_string(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Characters biased towards the ones the codec treats specially:
+    /// controls, the escaped ASCII, plain ASCII, and multi-byte UTF-8.
+    fn arb_char() -> impl Strategy<Value = char> {
+        (0u32..6, 0u32..0x11_0000).prop_map(|(class, x)| match class {
+            0 => char::from_u32(x % 0x20).unwrap(),
+            1 => ['"', '\\', '/', '\u{7f}'][(x % 4) as usize],
+            2 => char::from_u32(0x20 + x % 0x5f).unwrap(),
+            3 => char::from_u32(0x80 + x % 0xd780).unwrap(),
+            _ => char::from_u32(x).unwrap_or('\u{fffd}'),
+        })
+    }
+
+    fn arb_string() -> impl Strategy<Value = String> {
+        proptest::collection::vec(arb_char(), 0..48).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    /// Doubles from raw bits (NaN, infinities, subnormals), integers on
+    /// both sides of the 2^53 exact range, and short dyadic fractions.
+    fn arb_f64() -> impl Strategy<Value = f64> {
+        (0u32..4, 0u64..u64::MAX).prop_map(|(class, x)| match class {
+            0 => f64::from_bits(x),
+            1 => ((x % (1 << 55)) as i64 - (1 << 54)) as f64,
+            2 => x as i64 as f64,
+            _ => (x % 2_000_000) as f64 / 1024.0 - 977.0,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn render_string_matches_per_char_oracle(s in arb_string()) {
+            let rendered = string(&s);
+            prop_assert_eq!(&rendered, &oracle_string(&s));
+            let back = Json::parse(&rendered).expect("rendered string must decode");
+            prop_assert_eq!(back.as_str(), Some(s.as_str()));
+        }
+
+        #[test]
+        fn render_num_matches_format_oracle(v in arb_f64()) {
+            prop_assert_eq!(num(v), oracle_num(v));
+        }
+    }
+
+    #[test]
+    fn raw_control_bytes_after_a_long_run_are_rejected() {
+        let run = "plain é § 😀 ".repeat(2000);
+        for ctl in ['\u{1}', '\u{1f}'] {
+            let doc = format!("\"{run}{ctl}tail\"");
+            let err = Json::parse(&doc).unwrap_err();
+            assert!(err.contains("raw control character"), "{ctl:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn unterminated_strings_after_a_long_run_are_errors() {
+        let run = "x".repeat(20_000);
+        for doc in [
+            format!("\"{run}"),
+            format!("\"{run}é"),
+            format!("\"{run}\\"),
+            format!("\"{run}\\u12"),
+            format!("[\"{run}\\\"]"),
+        ] {
+            assert!(
+                Json::parse(&doc).is_err(),
+                "accepted ...{:?}",
+                doc.get(doc.len() - 8..)
+            );
+        }
+        assert_eq!(
+            Json::parse(&format!("\"{run}")).unwrap_err(),
+            "unterminated string"
+        );
+    }
+
+    #[test]
+    fn multi_byte_chars_next_to_escapes_round_trip() {
+        for s in [
+            "é\"§\\😀",
+            "\né\t§\r😀\u{1}",
+            "😀\"😀\\😀\n😀",
+            "é§😀\"",
+            "\"é§😀",
+        ] {
+            let rendered = string(s);
+            assert_eq!(
+                Json::parse(&rendered).unwrap().as_str(),
+                Some(s),
+                "{rendered}"
+            );
+        }
+        // Escapes spelled by hand, including `\/` and `\u` forms the
+        // renderer never emits.
+        let parsed = Json::parse("\"é\\u00e9§\\/😀\\b\\f\\u00A7😀\"").unwrap();
+        assert_eq!(parsed.as_str(), Some("éé§/😀\u{8}\u{c}§😀"));
+    }
+
+    #[test]
+    fn surrogate_escapes_decode_or_degrade_to_replacement() {
+        let parse = |doc: &str| Json::parse(doc).unwrap().as_str().unwrap().to_string();
+        assert_eq!(parse("\"\\ud83d\\ude00\""), "😀");
+        assert_eq!(parse("\"a\\uD83D\\uDE00b\""), "a😀b");
+        assert_eq!(parse("\"\\ud800\""), "\u{fffd}");
+        assert_eq!(parse("\"\\ud800x\""), "\u{fffd}x");
+        assert_eq!(parse("\"\\ud800\\u0041\""), "\u{fffd}A");
+        assert_eq!(parse("\"\\udc00\""), "\u{fffd}");
+    }
+
+    #[test]
+    fn unicode_escapes_need_four_hex_digits() {
+        for doc in ["\"\\u+041\"", "\"\\u00g1\"", "\"\\u00\"", "\"\\u00é\""] {
+            assert!(Json::parse(doc).is_err(), "accepted {doc:?}");
+        }
+    }
+
+    /// Decoding is linear in document size: a 16x longer string takes
+    /// about 16x as long. A scanner that re-reads the rest of the buffer
+    /// per character is quadratic and lands near 256x; the bound sits
+    /// far from both so host noise cannot flip the verdict.
+    #[test]
+    fn string_decode_time_is_linear_in_length() {
+        fn min_parse_time(len: usize) -> Duration {
+            let mut doc = String::with_capacity(len + 64);
+            doc.push('"');
+            while doc.len() < len {
+                doc.push_str("plain text é § 😀 \\n\\\"\\u00e9 ");
+            }
+            doc.push('"');
+            (0..5)
+                .map(|_| {
+                    let t = Instant::now();
+                    std::hint::black_box(Json::parse(&doc).unwrap());
+                    t.elapsed()
+                })
+                .min()
+                .unwrap()
+        }
+        let small = min_parse_time(64 << 10);
+        let large = min_parse_time(1 << 20);
+        let ratio = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
+        assert!(
+            ratio < 64.0,
+            "1 MiB took {large:?}, 64 KiB took {small:?}: ratio {ratio:.1}"
+        );
+    }
 
     fn sample_query() -> Query {
         Query {
@@ -1006,16 +1231,19 @@ mod tests {
     fn request_round_trips() {
         let req = Request {
             id: 42,
-            queries: vec![sample_query(), Query {
-                kernel: "SpTRSV".into(),
-                config: "knl-ddr".into(),
-                rows: Some(1_000_000),
-                nnz: Some(15_000_000),
-                span: Some(400_000.0),
-                levels: Some(300.0),
-                latency_bound: Some(true),
-                ..Query::default()
-            }],
+            queries: vec![
+                sample_query(),
+                Query {
+                    kernel: "SpTRSV".into(),
+                    config: "knl-ddr".into(),
+                    rows: Some(1_000_000),
+                    nnz: Some(15_000_000),
+                    span: Some(400_000.0),
+                    levels: Some(300.0),
+                    latency_bound: Some(true),
+                    ..Query::default()
+                },
+            ],
             shutdown: false,
         };
         let text = req.render();
@@ -1058,7 +1286,9 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let req = Request::default().render().replace("opm-api/v1", "opm-api/v9");
+        let req = Request::default()
+            .render()
+            .replace("opm-api/v1", "opm-api/v9");
         assert!(Request::parse(&req).unwrap_err().contains("version"));
         assert!(Request::parse("{\"id\":1}").unwrap_err().contains("v"));
     }
@@ -1131,10 +1361,10 @@ mod tests {
 
     #[test]
     fn canonical_numbers_render_integers_without_fraction() {
-        assert_eq!(render_num(3.0), "3");
-        assert_eq!(render_num(-2.0), "-2");
-        assert_eq!(render_num(0.5), "0.5");
-        assert_eq!(render_num(f64::NAN), "null");
+        assert_eq!(num(3.0), "3");
+        assert_eq!(num(-2.0), "-2");
+        assert_eq!(num(0.5), "0.5");
+        assert_eq!(num(f64::NAN), "null");
     }
 
     #[test]

@@ -211,7 +211,10 @@ fn oversized_length_prefix_is_rejected_without_allocation() {
 fn version_mismatch_is_a_decode_error() {
     let text = r#"{"v":"opm-api/v0","id":1,"queries":[]}"#;
     let err = Request::parse(text).unwrap_err();
-    assert!(err.contains("opm-api/v1"), "error names the supported version: {err}");
+    assert!(
+        err.contains("opm-api/v1"),
+        "error names the supported version: {err}"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -280,20 +283,22 @@ fn served_response_is_byte_identical_to_advise() {
 
     let (addr, handle) = spawn_server(Arc::clone(&engine), 8);
     let mut client = Client::connect(&addr).unwrap();
-    let served = client.roundtrip_raw(&req.render()).expect("served roundtrip");
+    let served = client
+        .roundtrip_raw(&req.render())
+        .expect("served roundtrip");
     client.roundtrip(&shutdown_request()).expect("shutdown");
     handle.join().unwrap();
 
-    assert_eq!(local, served, "opm advise and opm serve must agree byte-for-byte");
+    assert_eq!(
+        local, served,
+        "opm advise and opm serve must agree byte-for-byte"
+    );
 
     // And through the CLI advise path (its own global engine — the
     // rendering is deterministic, so bytes still match).
-    let cli_out = opm_bench::cli::run(&[
-        "advise".to_string(),
-        "--request".to_string(),
-        req.render(),
-    ])
-    .expect("opm advise");
+    let cli_out =
+        opm_bench::cli::run(&["advise".to_string(), "--request".to_string(), req.render()])
+            .expect("opm advise");
     assert_eq!(cli_out, served);
 }
 
@@ -339,7 +344,10 @@ fn concurrent_identical_queries_compute_one_profile() {
         );
     }
     let cache = engine.cache_stats();
-    assert_eq!(cache.misses, 1, "identical queries must share one profile computation");
+    assert_eq!(
+        cache.misses, 1,
+        "identical queries must share one profile computation"
+    );
     assert_eq!(cache.hits, n as u64 - 1);
     assert_eq!(stats.queries, n as u64);
 }
@@ -351,7 +359,9 @@ fn overloaded_server_sheds_with_typed_error() {
     let engine = test_engine();
     let (addr, handle) = spawn_server(engine, 0); // zero in-flight slots: shed everything
     let mut client = Client::connect(&addr).unwrap();
-    let resp = client.roundtrip(&sample_request(3)).expect("shed roundtrip");
+    let resp = client
+        .roundtrip(&sample_request(3))
+        .expect("shed roundtrip");
     assert_eq!(resp.results.len(), 3);
     for r in &resp.results {
         assert_eq!(*r, QueryResult::Err(ApiError::Overloaded));
@@ -417,7 +427,172 @@ fn bad_queries_get_typed_per_query_errors() {
             shutdown: false,
         },
     );
-    assert!(matches!(resp.results[0], QueryResult::Err(ApiError::UnknownKernel(_))));
-    assert!(matches!(resp.results[1], QueryResult::Err(ApiError::UnknownConfig(_))));
-    assert!(matches!(resp.results[2], QueryResult::Err(ApiError::BadParam(_))));
+    assert!(matches!(
+        resp.results[0],
+        QueryResult::Err(ApiError::UnknownKernel(_))
+    ));
+    assert!(matches!(
+        resp.results[1],
+        QueryResult::Err(ApiError::UnknownConfig(_))
+    ));
+    assert!(matches!(
+        resp.results[2],
+        QueryResult::Err(ApiError::BadParam(_))
+    ));
+}
+
+// ---------------------------------------------------------------------
+// Byte-identity goldens
+// ---------------------------------------------------------------------
+
+/// Every response pinned by `tests/golden/api_responses.jsonl`, in file
+/// order: the 48 kernel×config pairs at default parameters (ids 0..48),
+/// one 8-query batch with non-default parameters, and one response per
+/// `ApiError` kind.
+///
+/// The served-vs-advise test compares two renderings from the same
+/// process, so it cannot see a renderer change; these bytes were
+/// captured once and any drift in field order, number formatting or
+/// string escaping fails here.
+fn golden_responses() -> Vec<Response> {
+    let engine = test_engine();
+    let mut out = Vec::new();
+    for (i, (kernel, config)) in KERNELS
+        .iter()
+        .flat_map(|k| CONFIGS.iter().map(move |c| (k, c)))
+        .enumerate()
+    {
+        let req = Request {
+            id: i as u64,
+            queries: vec![Query {
+                kernel: kernel.to_string(),
+                config: config.to_string(),
+                ..Query::default()
+            }],
+            shutdown: false,
+        };
+        out.push(serve::respond(&engine, &req));
+    }
+
+    let q = |kernel: &str, config: &str| Query {
+        kernel: kernel.into(),
+        config: config.into(),
+        ..Query::default()
+    };
+    let batch = Request {
+        id: 4242,
+        queries: vec![
+            Query {
+                n: Some(4096),
+                tile: Some(256),
+                threads: Some(64),
+                hot_mb: Some(96.5),
+                ..q("GEMM", "knl-hybrid")
+            },
+            Query {
+                n: Some(12000),
+                tile: Some(512),
+                ..q("Cholesky", "brd-edram")
+            },
+            Query {
+                rows: Some(250_000),
+                nnz: Some(3_100_000),
+                span: Some(12_345.75),
+                ..q("SpMV", "knl-cache")
+            },
+            Query {
+                rows: Some(2_000_000),
+                nnz: Some(20_000_000),
+                threads: Some(32),
+                ..q("SpTRANS", "knl-flat")
+            },
+            Query {
+                rows: Some(600_000),
+                nnz: Some(7_000_000),
+                levels: Some(1234.5),
+                latency_bound: Some(true),
+                ..q("SpTRSV", "brd-no-edram")
+            },
+            Query {
+                n: Some(256),
+                ..q("fft", "knl-ddr")
+            },
+            Query {
+                grid: Some(320),
+                threads: Some(128),
+                ..q("Stencil", "knl-flat")
+            },
+            Query {
+                footprint_mb: Some(6144.25),
+                hot_mb: Some(12.125),
+                latency_bound: Some(false),
+                ..q("Stream", "brd-edram")
+            },
+        ],
+        shutdown: false,
+    };
+    out.push(serve::respond(&engine, &batch));
+
+    let one = |id: u64, e: ApiError| Response {
+        id,
+        results: vec![QueryResult::Err(e)],
+    };
+    out.push(one(9001, ApiError::Overloaded));
+    // The daemon's answer to a document cut off inside a string.
+    let cut = r#"{"v":"opm-api/v1","id":3,"queries":[{"kernel":"GEM"#;
+    out.push(one(
+        0,
+        ApiError::Malformed(Request::parse(cut).unwrap_err()),
+    ));
+    for query in [
+        q("warp-drive", "knl-flat"),
+        q("GEMM", "knl-9000"),
+        Query {
+            n: Some(0),
+            ..q("GEMM", "knl-flat")
+        },
+    ] {
+        out.push(serve::respond(
+            &engine,
+            &Request {
+                id: 9002 + out.len() as u64,
+                queries: vec![query],
+                shutdown: false,
+            },
+        ));
+    }
+    out.push(one(
+        9100,
+        ApiError::Internal("index out of bounds: \"len\" is 3\n\tat §6 \u{1}😀 \\".into()),
+    ));
+    out
+}
+
+#[test]
+fn rendered_responses_match_golden_bytes() {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/api_responses.jsonl");
+    let responses = golden_responses();
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("read golden {}: {e}", path.display()));
+    let lines: Vec<&str> = golden.lines().collect();
+    assert_eq!(lines.len(), responses.len(), "golden document count");
+    for (i, (resp, want)) in responses.iter().zip(&lines).enumerate() {
+        assert_eq!(
+            resp.render(),
+            *want,
+            "golden document {i} re-rendered differently"
+        );
+        let back = Response::parse(want)
+            .unwrap_or_else(|e| panic!("golden document {i} does not decode: {e}"));
+        assert_eq!(
+            &back, resp,
+            "golden document {i} decodes to a different response"
+        );
+        assert_eq!(
+            back.render(),
+            *want,
+            "golden document {i} does not round-trip"
+        );
+    }
 }
